@@ -5,13 +5,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use asvm::{AsvmMsg, FrameBody, FrameCombiner};
+use asvm::{AsvmMsg, FrameBody, FrameCombiner, Lru};
 use cluster::ManagerKind;
 use machvm::{MemObjId, PageIdx};
+use rand::{rngs::StdRng, SeedableRng};
 use svmsim::{Dur, EventQueue, Machine, MachineConfig, NodeId, Stats, Time};
 use workloads::{
     copy_chain_probe, em3d_run, fault_probe, run_pattern, CopyChainSpec, Em3dSpec, FaultProbeSpec,
-    Pattern, ProbeAccess,
+    Pattern, ProbeAccess, Zipf,
 };
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -238,11 +239,58 @@ fn bench_em3d(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_lru(c: &mut Criterion) {
+    // The owner-hint cache at its default capacity, fed a Zipf(0.9) page
+    // stream over twice as many pages: hot pages hit, the tail misses and
+    // evicts — the mix every forwarding decision sees.
+    const CAP: usize = 4096;
+    let zipf = Zipf::new(2 * CAP, 0.9);
+    let mut rng = StdRng::seed_from_u64(1996);
+    let keys: Vec<PageIdx> = (0..8192)
+        .map(|_| PageIdx(zipf.sample(&mut rng) as u32))
+        .collect();
+    let mut warm: Lru<PageIdx, NodeId> = Lru::new(CAP);
+    for (i, k) in keys.iter().enumerate() {
+        warm.insert(*k, NodeId(i as u16));
+    }
+    let mut g = c.benchmark_group("lru");
+    g.bench_function("get_8k_cap4096", |b| {
+        let mut lru = warm.clone();
+        b.iter(|| {
+            let mut hits = 0u32;
+            for k in &keys {
+                hits += u32::from(lru.get(black_box(k)).is_some());
+            }
+            black_box(hits)
+        })
+    });
+    g.bench_function("peek_8k_cap4096", |b| {
+        b.iter(|| {
+            let mut hits = 0u32;
+            for k in &keys {
+                hits += u32::from(warm.peek(black_box(k)).is_some());
+            }
+            black_box(hits)
+        })
+    });
+    g.bench_function("insert_8k_cap4096", |b| {
+        let mut lru = warm.clone();
+        b.iter(|| {
+            for (i, k) in keys.iter().enumerate() {
+                lru.insert(*black_box(k), NodeId(i as u16));
+            }
+            black_box(lru.len())
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
     bench_event_queue_preallocated,
     bench_stats,
+    bench_lru,
     bench_mesh_routing,
     bench_fault_probe,
     bench_copy_chain,

@@ -189,6 +189,15 @@ pub enum StaticHint {
     Paged,
 }
 
+// `AsvmNode::state_bytes` charges `size_of::<AsvmObject>()` per object, so
+// the two hint caches' inline size is part of every object's reported
+// protocol state; growing it would move the bounded-memory numbers.
+const _: () = assert!(
+    std::mem::size_of::<Lru<PageIdx, NodeId>>() <= 72
+        && std::mem::size_of::<Lru<PageIdx, StaticHint>>() <= 72,
+    "asvm::Lru grew past 72 bytes; it is charged per object in state_bytes"
+);
+
 /// Per-node representation of one ASVM-managed memory object.
 #[derive(Debug)]
 pub struct AsvmObject {

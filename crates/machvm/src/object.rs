@@ -71,12 +71,19 @@ impl ResidentPage {
 /// page record lives in a flat slot array (`O(1)` index instead of a
 /// B-tree descent). Iteration order is ascending page index, exactly the
 /// order the previous `BTreeMap<PageIdx, ResidentPage>` iterated in, so
-/// the swap is invisible to every deterministic consumer. The trade is
-/// memory proportional to the highest resident page index per object;
-/// simulated regions are compact, and sparse giants would only pay one
-/// `Option` slot per hole.
+/// the swap is invisible to every deterministic consumer.
+///
+/// The array covers a window `base..base + slots.len()` that starts at
+/// the lowest page inserted since the table was last empty, so memory is
+/// proportional to the resident span, not to the highest page index: a
+/// node caching a few pages high in a large object pays for those pages
+/// only. Pages outside the window are simply not resident. Inserting
+/// below the window grows it downward by at least its current length, so
+/// a descending run of inserts stays amortized `O(1)` per page.
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
+    /// Page number held by `slots[0]`.
+    base: u32,
     slots: Vec<Option<ResidentPage>>,
     resident: usize,
 }
@@ -87,16 +94,23 @@ impl PageTable {
         PageTable::default()
     }
 
+    /// The slot index of `page`, if it lies at or above the window start.
+    #[inline]
+    fn slot(&self, page: &PageIdx) -> Option<usize> {
+        page.0.checked_sub(self.base).map(|i| i as usize)
+    }
+
     /// The resident page record, if the page is resident.
     #[inline]
     pub fn get(&self, page: &PageIdx) -> Option<&ResidentPage> {
-        self.slots.get(page.0 as usize)?.as_ref()
+        self.slots.get(self.slot(page)?)?.as_ref()
     }
 
     /// Mutable access to the resident page record.
     #[inline]
     pub fn get_mut(&mut self, page: &PageIdx) -> Option<&mut ResidentPage> {
-        self.slots.get_mut(page.0 as usize)?.as_mut()
+        let i = self.slot(page)?;
+        self.slots.get_mut(i)?.as_mut()
     }
 
     /// True if `page` is resident.
@@ -107,7 +121,18 @@ impl PageTable {
 
     /// Makes `page` resident, returning the previous record if any.
     pub fn insert(&mut self, page: PageIdx, rp: ResidentPage) -> Option<ResidentPage> {
-        let i = page.0 as usize;
+        if self.resident == 0 {
+            self.slots.clear();
+            self.base = page.0;
+        } else if page.0 < self.base {
+            let grow = (self.base - page.0)
+                .max(self.slots.len() as u32)
+                .min(self.base);
+            self.slots
+                .splice(0..0, std::iter::repeat_with(|| None).take(grow as usize));
+            self.base -= grow;
+        }
+        let i = (page.0 - self.base) as usize;
         if i >= self.slots.len() {
             self.slots.resize_with(i + 1, || None);
         }
@@ -120,7 +145,8 @@ impl PageTable {
 
     /// Removes `page`, returning its record if it was resident.
     pub fn remove(&mut self, page: &PageIdx) -> Option<ResidentPage> {
-        let prev = self.slots.get_mut(page.0 as usize)?.take();
+        let i = self.slot(page)?;
+        let prev = self.slots.get_mut(i)?.take();
         if prev.is_some() {
             self.resident -= 1;
         }
@@ -145,10 +171,11 @@ impl PageTable {
 
     /// Resident pages in ascending page order.
     pub fn iter(&self) -> impl Iterator<Item = (PageIdx, &ResidentPage)> {
+        let base = self.base;
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|rp| (PageIdx(i as u32), rp)))
+            .filter_map(move |(i, s)| s.as_ref().map(|rp| (PageIdx(base + i as u32), rp)))
     }
 
     /// Resident page records in ascending page order.
@@ -267,5 +294,99 @@ mod tests {
         );
         assert_eq!(o.write_protect_all(), 1);
         assert!(o.pages.values().all(|p| p.prot == Access::Read));
+    }
+
+    fn page(stamp: u64) -> ResidentPage {
+        ResidentPage::new(PageData::Zero, Access::Read, Time::from_nanos(stamp))
+    }
+
+    fn listing(t: &PageTable) -> Vec<(u32, u64)> {
+        t.iter()
+            .map(|(p, rp)| (p.0, rp.last_use.as_nanos()))
+            .collect()
+    }
+
+    #[test]
+    fn page_table_window_starts_at_first_insert() {
+        let mut t = PageTable::new();
+        assert_eq!(t.insert(PageIdx(1000), page(1)).map(|_| ()), None);
+        assert_eq!(t.insert(PageIdx(1003), page(2)).map(|_| ()), None);
+        assert_eq!(t.slots.len(), 4, "window spans 1000..=1003 only");
+        assert_eq!(listing(&t), vec![(1000, 1), (1003, 2)]);
+    }
+
+    #[test]
+    fn page_table_insert_below_base_keeps_ascending_order() {
+        let mut t = PageTable::new();
+        t.insert(PageIdx(50), page(1));
+        t.insert(PageIdx(52), page(2));
+        t.insert(PageIdx(48), page(3));
+        t.insert(PageIdx(10), page(4));
+        assert_eq!(t.len(), 4);
+        assert_eq!(listing(&t), vec![(10, 4), (48, 3), (50, 1), (52, 2)]);
+        let stamps: Vec<u64> = t.values().map(|rp| rp.last_use.as_nanos()).collect();
+        assert_eq!(stamps, vec![4, 3, 1, 2]);
+        assert_eq!(
+            t.get(&PageIdx(48)).map(|rp| rp.last_use.as_nanos()),
+            Some(3)
+        );
+        // Replacing a record returns the old one and keeps the count.
+        assert_eq!(
+            t.insert(PageIdx(10), page(5))
+                .map(|rp| rp.last_use.as_nanos()),
+            Some(4)
+        );
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn page_table_descending_inserts_grow_geometrically() {
+        let mut t = PageTable::new();
+        for p in (0..64).rev() {
+            t.insert(PageIdx(p + 100), page(p as u64));
+        }
+        assert_eq!(t.len(), 64);
+        assert!(t.base <= 100 && t.slots.len() <= 2 * 64 + 1);
+        let pages: Vec<u32> = t.iter().map(|(p, _)| p.0).collect();
+        assert_eq!(pages, (100..164).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn page_table_lookups_outside_the_window_miss() {
+        let mut t = PageTable::new();
+        t.insert(PageIdx(20), page(1));
+        t.insert(PageIdx(22), page(2));
+        for p in [0, 19, 21, 23, u32::MAX] {
+            assert!(t.get(&PageIdx(p)).is_none(), "page {p}");
+            assert!(t.get_mut(&PageIdx(p)).is_none(), "page {p}");
+            assert!(t.remove(&PageIdx(p)).is_none(), "page {p}");
+            assert!(!t.contains_key(&PageIdx(p)), "page {p}");
+        }
+        assert_eq!(t.len(), 2);
+        assert_eq!(
+            t.remove(&PageIdx(20)).map(|rp| rp.last_use.as_nanos()),
+            Some(1)
+        );
+        assert_eq!(t.remove(&PageIdx(20)).map(|_| ()), None);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn page_table_clear_then_reinsert_reanchors() {
+        let mut t = PageTable::new();
+        t.insert(PageIdx(500), page(1));
+        t.insert(PageIdx(900), page(2));
+        t.clear();
+        assert!(t.is_empty());
+        assert!(t.get(&PageIdx(500)).is_none());
+        assert_eq!(t.iter().count(), 0);
+        t.insert(PageIdx(3), page(3));
+        assert_eq!(t.slots.len(), 1);
+        assert_eq!(listing(&t), vec![(3, 3)]);
+        // Emptying by removal re-anchors the same way.
+        t.remove(&PageIdx(3));
+        t.insert(PageIdx(7000), page(4));
+        assert_eq!(t.slots.len(), 1);
+        assert_eq!(listing(&t), vec![(7000, 4)]);
     }
 }

@@ -537,9 +537,10 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Schedules `msg` for local delivery at absolute time `at` with no CPU
-    /// charge (timers, task resumptions, deferred work).
+    /// charge (timers, task resumptions, deferred work). `at` must not lie
+    /// in the past; release builds clamp it to now.
     pub fn post_self(&mut self, at: Time, msg: M) {
-        debug_assert!(at >= self.now || at >= Time::ZERO);
+        debug_assert!(at >= self.now, "post_self into the past");
         self.queue.push(
             at.max(self.now),
             Event::Deliver(Envelope {
