@@ -3,23 +3,23 @@
 #
 #   ci/perfcmp.sh <workload> [K] [seed]
 #
-# Builds perfbench twice — from the merge-base of HEAD and $PERFCMP_BASE
-# (default HEAD~1, the parent commit), and from the current checkout,
+# Builds perfbench twice — from the base commit (by default the parent
+# commit HEAD~1; see PERFCMP_BASE) and from the current checkout,
 # uncommitted edits included — each into a target directory of its own,
 # offline (every dependency is vendored). Then it runs the two builds K
-# times each (default 5), alternating base/change in ABBA order so drift
+# times each (default 10), alternating base/change in ABBA order so drift
 # of the machine's speed falls on both sides alike, and prints, for every
 # end-to-end metric in BENCHMARK.json: the median of each side, the
 # interquartile range over the median of each side, the change/base ratio
 # of the medians, and in how many of the K back-to-back pairs the change
 # was better ("same" when every run of both sides gave the same value, as
-# simulated metrics must).
+# simulated metrics must). Each run lasts BENCHMARK.json's run_seconds.
 #
 # Environment:
-#   PERFCMP_BASE     ref to compare against; the merge-base with HEAD is
-#                    used (a branch: main; uncommitted edits: HEAD)
-#   PERFCMP_SECONDS  --seconds per run (default 30, as in BENCHMARK.json)
-#   PERFCMP_DIR      work directory (default .perfcmp in the repository)
+#   PERFCMP_BASE  compare against the merge-base of HEAD and this ref
+#                 instead of the parent commit (a branch: main;
+#                 uncommitted edits only: HEAD)
+#   PERFCMP_DIR   work directory (default .perfcmp in the repository)
 #
 # The base tree is exported with `git archive`, so no worktree is left
 # registered. Raw per-run JSON lines stay in $PERFCMP_DIR/runs.
@@ -27,13 +27,18 @@ set -euo pipefail
 
 usage="usage: ci/perfcmp.sh <em3d-1024|zipf-rw|scan-evict> [K] [seed]"
 workload=${1:?$usage}
-k=${2:-5}
+k=${2:-10}
 seed=${3:-1996}
-seconds=${PERFCMP_SECONDS:-30}
 
 root=$(git rev-parse --show-toplevel)
 work=${PERFCMP_DIR:-$root/.perfcmp}
-base=$(git -C "$root" merge-base HEAD "${PERFCMP_BASE:-HEAD~1}")
+if [[ -n ${PERFCMP_BASE:-} ]]; then
+    base=$(git -C "$root" merge-base HEAD "$PERFCMP_BASE")
+else
+    base=$(git -C "$root" rev-parse HEAD~1)
+fi
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    "$root/BENCHMARK.json")
 
 mkdir -p "$work"
 tree="$work/base-$base"

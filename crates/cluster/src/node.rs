@@ -794,7 +794,10 @@ impl ClusterNode {
         self.run_fx(ctx, &mut fx);
         self.put_fx(fx);
         if !self.all_tasks_done() {
-            ctx.post_self(now + HB_PERIOD, Msg::HbTick);
+            // The beacons and watchdog work above can run this tick's CPU
+            // past its next period (many peers on a slow transport); the
+            // next tick then starts as soon as this one ends.
+            ctx.post_self((now + HB_PERIOD).max(ctx.now()), Msg::HbTick);
         }
     }
 

@@ -15,6 +15,7 @@ use common::{run_trace_faulted, with_trace_dump, TraceOp};
 use machvm::{Access, Inherit};
 use proptest::prelude::*;
 use svmsim::{Dur, FaultPlan, LinkFaults, MachineConfig, NodeId};
+use transport::Transport;
 use workloads::{run_pattern_faulted, Pattern};
 
 /// Base seed for every fault plan in this file (CI matrix: 1996, 777).
@@ -358,4 +359,59 @@ fn blackout_window_recovers_after_it_lifts() {
     assert!(out.completed, "workload must finish after the blackout");
     assert!(out.dropped > 0, "the blackout must have eaten messages");
     assert!(out.resent > 0, "recovery happens through retransmission");
+}
+
+/// A heartbeat tick on NORMA-IPC beacons every peer at 450 µs of send CPU
+/// each, so on sixteen nodes (6.75 ms per 5 ms period) any CPU the
+/// watchdog then charges carries the node's clock past the tick's next
+/// period. The tick must re-arm at its own end, not in the past (a debug
+/// assertion in `Ctx::post_self`). Beacons alone saturate the message
+/// processors at this size (every node ends up suspecting every other),
+/// so the run is cut at an event budget instead of waiting for the tasks.
+#[test]
+fn heartbeat_rearm_survives_slow_beacons() {
+    const NODES: u16 = 16;
+    let mut cfg = MachineConfig::paragon(NODES);
+    cfg.faults = FaultPlan::seeded(fault_seed() ^ 0x4EA7).with_drop_ppm(20_000);
+    let mut ssi = Ssi::with_machine(cfg, ManagerKind::asvm(), 7);
+    ssi.set_asvm_transport(Transport::NORMA);
+    let mobj = ssi.create_object(NodeId(0), 2, false);
+    let tasks: Vec<_> = (0..NODES)
+        .map(|n| {
+            let t = ssi.alloc_task();
+            ssi.map_shared(
+                t,
+                NodeId(n),
+                0,
+                mobj,
+                NodeId(0),
+                2,
+                Access::Write,
+                Inherit::Share,
+            );
+            t
+        })
+        .collect();
+    ssi.finalize();
+    for (n, t) in tasks.into_iter().enumerate() {
+        ssi.spawn(
+            NodeId(n as u16),
+            t,
+            Box::new(ScriptProgram::new(vec![
+                Step::Write {
+                    va_page: n as u64 % 2,
+                    value: n as u64,
+                },
+                Step::Read { va_page: 0 },
+                Step::Done,
+            ])),
+        );
+    }
+    // Completion is not the point here; the budget only bounds the run.
+    let _ = ssi.run(20_000);
+    let beacons = ssi.stats().counter("cluster.hb");
+    assert!(
+        beacons >= 20 * u64::from(NODES) * u64::from(NODES - 1),
+        "heartbeats kept re-arming for at least 20 periods ({beacons} beacons)"
+    );
 }
